@@ -225,6 +225,11 @@ fn main() {
     );
 
     let (a_folds, b_folds) = (replica_a.folds(), replica_b.folds());
+    let cutter = server.repl_stats();
+    println!(
+        "cutter: {} deltas + {} full segments cut, {} chain restarts",
+        cutter.deltas_cut, cutter.fulls_cut, cutter.restarts
+    );
     drop(replica_a);
     drop(replica_b);
     let report = server.shutdown().expect("server shutdown");
@@ -260,6 +265,9 @@ fn main() {
                 .int("replicas", 2)
                 .int("replica_a_folds", a_folds)
                 .int("replica_b_folds", b_folds)
+                .int("deltas_cut", cutter.deltas_cut)
+                .int("fulls_cut", cutter.fulls_cut)
+                .int("restarts", cutter.restarts)
                 .bool("converged", replicas_converged)
                 .bool("digest_identical", digests_identical),
         )

@@ -750,7 +750,9 @@ fn write_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
     }
 }
 
-/// Parses and validates the fixed header.
+/// Parses and validates the fixed header. Only the 83 fixed header
+/// bytes are read, so peeking at a multi-MB frame costs the same as
+/// peeking at an empty one.
 ///
 /// # Errors
 ///
@@ -758,7 +760,7 @@ fn write_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
 /// magic, an unsupported version, an unknown kind, or a checksum
 /// mismatch.
 pub fn read_header(bytes: &[u8]) -> Result<CheckpointHeader, CheckpointError> {
-    let v = BitVec::from_bytes(bytes);
+    let v = BitVec::from_bytes(&bytes[..bytes.len().min(PAYLOAD_BYTE)]);
     let mut r = BitReader::new(&v);
     let magic = r.try_read_bits(32).ok_or(CheckpointError::Truncated)?;
     if magic != u64::from(CHECKPOINT_MAGIC) {
@@ -1119,9 +1121,9 @@ pub fn restore_checkpoint_with<C: StateCodec + Clone + Send + Sync + 'static>(
 /// must be a full checkpoint, every later segment a delta whose
 /// `parent_chain` cites the digest of the segment before it. Dirty shards
 /// are replaced wholesale by the newest delta that carries them; clean
-/// shards keep the newest earlier state. The chain's final totals are
-/// verified against the last header, so a fold that loses or duplicates
-/// anything is refused.
+/// shards keep the newest earlier state. The folded totals are verified
+/// against every segment's header, so a fold that loses or duplicates
+/// anything is refused. Built on [`ChainFold`].
 ///
 /// # Errors
 ///
@@ -1182,32 +1184,108 @@ pub fn restore_checkpoint_chain_with_workers<C: StateCodec + Clone + Send + Sync
     segments: &[&[u8]],
     workers: usize,
 ) -> Result<CounterEngine<C>, CheckpointError> {
-    assert!(!templates.is_empty(), "need at least the default template");
+    fold_chain(templates, segments, workers).map(ChainFold::into_engine)
+}
+
+/// Folds a whole chain: start on segment 0, fold every later segment.
+fn fold_chain<C: StateCodec + Clone + Send + Sync + 'static>(
+    templates: &[C],
+    segments: &[&[u8]],
+    workers: usize,
+) -> Result<ChainFold<C>, CheckpointError> {
     let (first, rest) = segments.split_first().ok_or(CheckpointError::BadChain {
         what: "empty chain",
     })?;
-    let base = read_header(first)?;
-    match base.kind {
-        CheckpointKind::Full => {}
-        CheckpointKind::Delta if rest.is_empty() => return Err(CheckpointError::DeltaWithoutBase),
-        CheckpointKind::Delta => {
+    let mut fold = match ChainFold::start_with_workers(templates, first, workers) {
+        Err(CheckpointError::DeltaWithoutBase) if !rest.is_empty() => {
             return Err(CheckpointError::BadChain {
                 what: "chain must start with a full checkpoint",
             })
         }
-    }
-    let sections = parse_sections(templates, first, &base, workers)?;
-    let mut shards: Vec<Option<Shard<C>>> = (0..base.config.shards).map(|_| None).collect();
-    for (idx, shard) in sections {
-        shards[idx] = Some(shard);
-    }
-    // parse_sections proved a full frame holds exactly `shards` strictly
-    // increasing in-range indices, so every slot is filled.
-    debug_assert!(shards.iter().all(Option::is_some));
-
-    let mut prev = base;
+        started => started?,
+    };
     for &segment in rest {
+        fold.fold(segment)?;
+    }
+    Ok(fold)
+}
+
+/// A checkpoint chain folded one segment at a time: the restored shards
+/// of everything folded so far plus the tip header. This is the one
+/// chain-fold implementation — [`restore_checkpoint_chain`] is
+/// [`ChainFold::start`], then [`ChainFold::fold`] per delta, then a
+/// conversion into the engine — and a replica keeps a `ChainFold` alive
+/// across segments so each delta costs only the shards it carries.
+///
+/// Every segment is checked by the same rules as a whole-chain restore:
+/// checksums, fingerprint, config, the parent digest (with the
+/// compacted-base alias rule), epoch order, and — after each segment,
+/// not just the last — the shard totals against that segment's header.
+/// A refused segment leaves the fold exactly as it was, so the correct
+/// next delta still folds.
+#[derive(Debug)]
+pub struct ChainFold<C> {
+    templates: Vec<C>,
+    workers: usize,
+    shards: Vec<Arc<Shard<C>>>,
+    tip: CheckpointHeader,
+}
+
+impl<C: StateCodec + Clone + Send + Sync + 'static> ChainFold<C> {
+    /// Starts a fold from a **full** checkpoint (decode workers chosen
+    /// automatically).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`restore_checkpoint`] returns, including
+    /// [`CheckpointError::DeltaWithoutBase`] for a delta frame.
+    pub fn start(template: &C, base: &[u8]) -> Result<Self, CheckpointError> {
+        Self::start_with_workers(std::slice::from_ref(template), base, 0)
+    }
+
+    /// [`ChainFold::start`] over a tier ladder (rung 0 = default) with
+    /// an explicit decode worker count; both apply to every later
+    /// [`ChainFold::fold`].
+    fn start_with_workers(
+        templates: &[C],
+        base: &[u8],
+        workers: usize,
+    ) -> Result<Self, CheckpointError> {
+        assert!(!templates.is_empty(), "need at least the default template");
+        let header = read_header(base)?;
+        if header.kind == CheckpointKind::Delta {
+            return Err(CheckpointError::DeltaWithoutBase);
+        }
+        // parse_sections proved a full frame holds exactly `shards`
+        // strictly increasing in-range indices: section i is shard i.
+        let shards: Vec<Arc<Shard<C>>> = parse_sections(templates, base, &header, workers)?
+            .into_iter()
+            .map(|(_, shard)| Arc::new(shard))
+            .collect();
+        check_totals(&shards, &header)?;
+        Ok(ChainFold {
+            templates: templates.to_vec(),
+            workers,
+            shards,
+            tip: header,
+        })
+    }
+
+    /// Folds the next **delta** onto the tip, replacing only the shards
+    /// it carries.
+    ///
+    /// # Errors
+    ///
+    /// What [`restore_checkpoint_chain`] returns for one segment:
+    /// [`CheckpointError::BadChain`] for a full frame, a parent-digest
+    /// mismatch or an epoch regression;
+    /// [`CheckpointError::ConfigMismatch`]; checksum, truncation and
+    /// decode errors; and [`CheckpointError::Corrupt`] when the folded
+    /// totals disagree with the segment's header. On error the fold is
+    /// unchanged.
+    pub fn fold(&mut self, segment: &[u8]) -> Result<(), CheckpointError> {
         let header = read_header(segment)?;
+        let prev = self.tip;
         if header.kind != CheckpointKind::Delta {
             return Err(CheckpointError::BadChain {
                 what: "full checkpoint mid-chain (start a new chain from it instead)",
@@ -1242,33 +1320,56 @@ pub fn restore_checkpoint_chain_with_workers<C: StateCodec + Clone + Send + Sync
                 what: "delta freeze epoch precedes its parent",
             });
         }
-        for (idx, shard) in parse_sections(templates, segment, &header, workers)? {
-            shards[idx] = Some(shard);
+        let mut shards = self.shards.clone();
+        for (idx, shard) in parse_sections(&self.templates, segment, &header, self.workers)? {
+            shards[idx] = Arc::new(shard);
         }
-        prev = header;
+        check_totals(&shards, &header)?;
+        self.shards = shards;
+        self.tip = header;
+        Ok(())
     }
 
-    let shards: Vec<Shard<C>> = shards
-        .into_iter()
-        .map(|s| {
-            s.ok_or(CheckpointError::Corrupt {
-                what: "chain leaves a shard with no state",
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let keys_total: u64 = shards.iter().map(|s| s.len() as u64).sum();
-    let events_total: u64 = shards.iter().map(Shard::events).sum();
-    if keys_total != prev.keys || events_total != prev.events {
+    /// The header of the last segment folded.
+    #[must_use]
+    pub fn tip(&self) -> CheckpointHeader {
+        self.tip
+    }
+
+    /// A read-only view of the folded state, stamped with the tip's
+    /// freeze epoch. `O(shards)`: the snapshot shares the fold's shards.
+    #[must_use]
+    pub fn snapshot(&self) -> EngineSnapshot<C> {
+        EngineSnapshot::from_restored(
+            self.templates[0].clone(),
+            self.tip.config,
+            self.shards.clone(),
+            self.tip.epoch,
+        )
+    }
+
+    /// Finishes the fold into an engine bit-identical to the one the tip
+    /// was cut from, its freeze clock resuming just past the tip's epoch.
+    fn into_engine(self) -> CounterEngine<C> {
+        let template = self.templates.into_iter().next().expect("default template");
+        CounterEngine::from_restored(template, self.tip.config, self.shards, self.tip.epoch + 1)
+    }
+}
+
+/// Refuses a fold whose shard totals disagree with `header` — the check
+/// that a fold lost or duplicated nothing.
+fn check_totals<C: StateCodec + Clone>(
+    shards: &[Arc<Shard<C>>],
+    header: &CheckpointHeader,
+) -> Result<(), CheckpointError> {
+    let keys: u64 = shards.iter().map(|s| s.len() as u64).sum();
+    let events: u64 = shards.iter().map(|s| s.events()).sum();
+    if keys != header.keys || events != header.events {
         return Err(CheckpointError::Corrupt {
-            what: "shard totals disagree with the final header",
+            what: "shard totals disagree with the segment header",
         });
     }
-    Ok(CounterEngine::from_restored(
-        templates[0].clone(),
-        prev.config,
-        shards,
-        prev.epoch + 1,
-    ))
+    Ok(())
 }
 
 /// [`restore_checkpoint`], additionally refusing a checkpoint whose
@@ -1366,23 +1467,20 @@ fn compact_chain_inner<C: StateCodec + Clone + Send + Sync + 'static>(
     segments: &[&[u8]],
     workers: usize,
 ) -> Result<Checkpoint, CheckpointError> {
-    let tip = read_header(segments.last().ok_or(CheckpointError::BadChain {
-        what: "empty chain",
-    })?)?;
-    let mut engine = restore_checkpoint_chain_with_workers(templates, segments, workers)?;
-    // Pin the compacted base to the folded tip's freeze epoch: the
-    // restored engine's own clock sits past it, and a base claiming a
-    // *newer* epoch than the tip would make deltas cut against the tip
-    // unchainable (their epochs must not precede their parent's) while
-    // silently shifting the dirty-shard horizon.
-    let snap = engine.snapshot().with_epoch(tip.epoch);
+    let fold = fold_chain(templates, segments, workers)?;
+    // The fold's snapshot claims the folded tip's freeze epoch, not a
+    // newer one: a base claiming a *newer* epoch than the tip would make
+    // deltas cut against the tip unchainable (their epochs must not
+    // precede their parent's) while silently shifting the dirty-shard
+    // horizon.
+    let snap = fold.snapshot();
     let all: Vec<usize> = (0..snap.shards.len()).collect();
     let t = if tiered { Some(templates) } else { None };
     Ok(write_checkpoint(
         &snap,
         t,
         CheckpointKind::Full,
-        tip.chain,
+        fold.tip().chain,
         &all,
         workers,
     ))
@@ -2212,6 +2310,197 @@ mod tests {
         assert_eq!(via.stats().tier_keys, folded.stats().tier_keys);
     }
 
+    /// Full-checkpoint bytes of a fold's current state.
+    fn fold_bytes<C: StateCodec + Clone + Send + Sync + 'static>(fold: &ChainFold<C>) -> Vec<u8> {
+        checkpoint_snapshot_workers(&fold.snapshot(), 1).into_bytes()
+    }
+
+    /// Folds `segments` one at a time and checks, after every step,
+    /// that the fold serializes byte-identically to a whole-chain
+    /// restore of the same prefix (its epoch stamped back to the tip's).
+    fn assert_stepwise_fold_matches_restore<C>(template: &C, segments: &[&[u8]])
+    where
+        C: StateCodec + Clone + Send + Sync + 'static,
+    {
+        let mut fold = ChainFold::start(template, segments[0]).unwrap();
+        for end in 1..=segments.len() {
+            if end > 1 {
+                fold.fold(segments[end - 1]).unwrap();
+            }
+            let tip = fold.tip();
+            assert_eq!(tip, read_header(segments[end - 1]).unwrap());
+            let mut restored = restore_checkpoint_chain(template, &segments[..end]).unwrap();
+            let oracle = checkpoint_snapshot_workers(&restored.snapshot().with_epoch(tip.epoch), 1);
+            assert_eq!(fold_bytes(&fold), oracle.bytes(), "prefix of {end}");
+        }
+    }
+
+    /// Every ChainFold oracle for one family: the plain chain, then a
+    /// compacted base followed by the delta cut against the tip it
+    /// folded (the alias rule) and one more delta.
+    fn assert_chain_fold_matches_restore<C>(template: C, seed: u64, rounds: usize)
+    where
+        C: StateCodec + Clone + Send + Sync + 'static,
+    {
+        let (mut e, frames) = chain_of(&template, seed, rounds);
+        let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
+        assert_stepwise_fold_matches_restore(&template, &segments);
+
+        let cbase = compact_chain(&template, &segments).unwrap();
+        let mut gen = SplitMix64::new(seed ^ 0xA11A5);
+        let mut cut = |e: &mut CounterEngine<C>, parent: &CheckpointHeader| {
+            let extra: Vec<(u64, u64)> = (0..30)
+                .map(|_| (gen.next_u64() % 5_000, 1 + gen.next_u64() % 40))
+                .collect();
+            e.apply(&extra);
+            checkpoint_delta(&e.snapshot(), parent).unwrap()
+        };
+        let d_next = cut(&mut e, &frames.last().unwrap().header());
+        let d_after = cut(&mut e, &d_next.header());
+        assert_stepwise_fold_matches_restore(
+            &template,
+            &[cbase.bytes(), d_next.bytes(), d_after.bytes()],
+        );
+    }
+
+    /// Rewrites a frame's header fields (the eleven before the header
+    /// checksum, in layout order) and re-seals the header checksum, so
+    /// the forged frame passes `read_header` and fails only the rule
+    /// under test.
+    fn reheader(bytes: &[u8], edit: impl FnOnce(&mut [u64; 11])) -> Vec<u8> {
+        const WIDTHS: [u32; 11] = [32, 16, 8, 64, 32, 64, 64, 64, 64, 64, 64];
+        let v = BitVec::from_bytes(&bytes[..PAYLOAD_BYTE]);
+        let mut r = BitReader::new(&v);
+        let mut fields = [0u64; 11];
+        for (field, width) in fields.iter_mut().zip(WIDTHS) {
+            *field = r.read_bits(width);
+        }
+        edit(&mut fields);
+        let mut out = BitVec::new();
+        let mut w = BitWriter::new(&mut out);
+        for (field, width) in fields.iter().zip(WIDTHS) {
+            w.write_bits(*field, width);
+        }
+        w.write_bits(header_checksum(&fields), 64);
+        let mut forged = out.to_bytes();
+        forged.extend_from_slice(&bytes[PAYLOAD_CHECKSUM_BYTE..]);
+        forged
+    }
+
+    fn assert_rejections_leave_the_fold_unchanged<C>(template: C, seed: u64)
+    where
+        C: StateCodec + Clone + Send + Sync + 'static,
+    {
+        let (mut e, frames) = chain_of(&template, seed, 2);
+        let mut fold = ChainFold::start(&template, frames[0].bytes()).unwrap();
+        fold.fold(frames[1].bytes()).unwrap();
+        let tip = fold.tip();
+        let before = fold_bytes(&fold);
+        let d_next = frames[2].bytes();
+        e.apply(&[(4_999, 3)]);
+        let d_after = checkpoint_delta(&e.snapshot(), &frames[2].header()).unwrap();
+
+        // Field indices in `reheader` order.
+        const SEED: usize = 5;
+        const EPOCH: usize = 6;
+        const EVENTS: usize = 9;
+        let mut flipped = d_next.to_vec();
+        flipped[PAYLOAD_BYTE + 4] ^= 0x10;
+        let cases: Vec<(&str, Vec<u8>, CheckpointError)> = vec![
+            (
+                "wrong parent digest",
+                d_after.bytes().to_vec(),
+                CheckpointError::BadChain {
+                    what: "delta cites a different parent checkpoint",
+                },
+            ),
+            (
+                "full frame mid-chain",
+                frames[0].bytes().to_vec(),
+                CheckpointError::BadChain {
+                    what: "full checkpoint mid-chain (start a new chain from it instead)",
+                },
+            ),
+            (
+                "epoch regression",
+                reheader(d_next, |f| f[EPOCH] = tip.epoch - 1),
+                CheckpointError::BadChain {
+                    what: "delta freeze epoch precedes its parent",
+                },
+            ),
+            (
+                "config mismatch",
+                reheader(d_next, |f| f[SEED] ^= 1),
+                CheckpointError::ConfigMismatch {
+                    expected: tip.config,
+                    got: EngineConfig {
+                        seed: tip.config.seed ^ 1,
+                        ..tip.config
+                    },
+                },
+            ),
+            (
+                "flipped payload bit",
+                flipped,
+                CheckpointError::Corrupt {
+                    what: "payload checksum mismatch",
+                },
+            ),
+            (
+                "totals mismatch",
+                reheader(d_next, |f| f[EVENTS] += 1),
+                CheckpointError::Corrupt {
+                    what: "shard totals disagree with the segment header",
+                },
+            ),
+        ];
+        for (name, segment, expected) in cases {
+            assert_eq!(fold.fold(&segment).unwrap_err(), expected, "{name}");
+            assert_eq!(fold.tip(), tip, "{name} moved the tip");
+            assert_eq!(fold_bytes(&fold), before, "{name} changed the state");
+        }
+        fold.fold(d_next).unwrap();
+        fold.fold(d_after.bytes()).unwrap();
+        let mut restored = restore_checkpoint_chain(
+            &template,
+            &[
+                frames[0].bytes(),
+                frames[1].bytes(),
+                d_next,
+                d_after.bytes(),
+            ],
+        )
+        .unwrap();
+        let oracle = restored.snapshot().with_epoch(fold.tip().epoch);
+        assert_eq!(
+            fold_bytes(&fold),
+            checkpoint_snapshot_workers(&oracle, 1).into_bytes()
+        );
+    }
+
+    #[test]
+    fn chain_fold_rejections_are_typed_and_leave_the_fold_unchanged() {
+        assert_rejections_leave_the_fold_unchanged(ExactCounter::new(), 50);
+        assert_rejections_leave_the_fold_unchanged(MorrisCounter::new(0.25).unwrap(), 51);
+        assert_rejections_leave_the_fold_unchanged(ac_core::MorrisPlus::new(0.2, 8).unwrap(), 52);
+        assert_rejections_leave_the_fold_unchanged(ny_template(), 53);
+        assert_rejections_leave_the_fold_unchanged(CsurosCounter::new(8).unwrap(), 54);
+    }
+
+    #[test]
+    fn read_header_ignores_everything_past_the_fixed_header() {
+        let (_, frames) = chain_of(&ny_template(), 9, 1);
+        for frame in &frames {
+            let bytes = frame.bytes();
+            assert_eq!(read_header(bytes).unwrap(), frame.header());
+            assert_eq!(read_header(&bytes[..PAYLOAD_BYTE]).unwrap(), frame.header());
+            assert_eq!(
+                read_header(&bytes[..PAYLOAD_BYTE - 1]).unwrap_err(),
+                CheckpointError::Truncated
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn parallel_encode_bytes_equal_serial_across_families(
@@ -2237,6 +2526,19 @@ mod tests {
                 ac_core::MorrisPlus::new(0.2, 8).unwrap(), seed, rounds);
             assert_compaction_matches_serial_fold(ny_template(), seed, rounds);
             assert_compaction_matches_serial_fold(CsurosCounter::new(8).unwrap(), seed, rounds);
+        }
+
+        #[test]
+        fn chain_fold_matches_restore_over_random_chains(
+            seed in 1u64..100_000,
+            rounds in 0usize..5,
+        ) {
+            assert_chain_fold_matches_restore(ExactCounter::new(), seed, rounds);
+            assert_chain_fold_matches_restore(MorrisCounter::new(0.25).unwrap(), seed, rounds);
+            assert_chain_fold_matches_restore(
+                ac_core::MorrisPlus::new(0.2, 8).unwrap(), seed, rounds);
+            assert_chain_fold_matches_restore(ny_template(), seed, rounds);
+            assert_chain_fold_matches_restore(CsurosCounter::new(8).unwrap(), seed, rounds);
         }
     }
 }

@@ -153,7 +153,7 @@ pub use checkpoint::{
     compact_chain, compact_chain_with, compact_chain_with_workers, compact_chain_workers,
     read_header, restore_checkpoint, restore_checkpoint_chain, restore_checkpoint_chain_with,
     restore_checkpoint_chain_with_workers, restore_checkpoint_chain_workers,
-    restore_checkpoint_expecting, restore_checkpoint_with, Checkpoint, CheckpointError,
+    restore_checkpoint_expecting, restore_checkpoint_with, ChainFold, Checkpoint, CheckpointError,
     CheckpointHeader, CheckpointKind, CheckpointStats, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
     CHECKPOINT_VERSION_TIERED,
 };

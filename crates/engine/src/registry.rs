@@ -130,7 +130,7 @@ impl ShardRouter {
 /// The routing salt and per-shard seeder derived from `seed` — engine
 /// construction, checkpoint restore, and [`ShardRouter::new`] must all
 /// derive them identically.
-fn salt_for(seed: u64) -> (u64, SplitMix64) {
+pub(crate) fn salt_for(seed: u64) -> (u64, SplitMix64) {
     let mut seeder = SplitMix64::new(seed);
     let salt = seeder.next_u64();
     (salt, seeder)
@@ -355,7 +355,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     pub(crate) fn from_restored(
         template: C,
         config: EngineConfig,
-        shards: Vec<Shard<C>>,
+        shards: Vec<Arc<Shard<C>>>,
         epoch: u64,
     ) -> Self {
         assert_eq!(config.shards, shards.len(), "shard count mismatch");
@@ -364,7 +364,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
         template.reset();
         let (salt, _) = salt_for(config.seed);
         Self {
-            shards: shards.into_iter().map(Arc::new).collect(),
+            shards,
             template,
             config,
             salt,

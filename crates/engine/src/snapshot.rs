@@ -28,7 +28,8 @@
 //! oracle for the CoW-equivalence property tests.
 
 use crate::registry::{
-    CounterEngine, EngineConfig, FoldCache, FoldEntry, TieredFoldCache, TieredFoldEntry,
+    fresh_fold_cache, fresh_tiered_fold_cache, salt_for, CounterEngine, EngineConfig, FoldCache,
+    FoldEntry, TieredFoldCache, TieredFoldEntry,
 };
 use crate::shard::{route, Shard};
 use ac_core::{ApproxCounter, CoreError, Mergeable};
@@ -114,6 +115,30 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
 }
 
 impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
+    /// A snapshot over restored shards (the checkpoint chain fold's
+    /// view), stamped with the freeze `epoch` they were cut at. Like a
+    /// restored engine, it starts with cold merge caches.
+    pub(crate) fn from_restored(
+        template: C,
+        config: EngineConfig,
+        shards: Vec<Arc<Shard<C>>>,
+        epoch: u64,
+    ) -> Self {
+        let mut template = template;
+        template.reset();
+        EngineSnapshot {
+            keys: shards.iter().map(|s| s.len()).sum(),
+            events: shards.iter().map(|s| s.events()).sum(),
+            salt: salt_for(config.seed).0,
+            fold_cache: fresh_fold_cache(shards.len()),
+            tiered_fold_cache: fresh_tiered_fold_cache(shards.len()),
+            shards,
+            template,
+            config,
+            epoch,
+        }
+    }
+
     /// The estimate for `key` at freeze time, or `None` if the key had
     /// never been touched.
     #[must_use]
@@ -216,10 +241,7 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
         self.epoch
     }
 
-    /// Re-stamps the freeze epoch. Chain compaction uses it to write a
-    /// base that claims the *folded tip's* epoch (the restored engine's
-    /// own clock sits one past it) so deltas cut against that tip still
-    /// chain onto the compacted base; tests use it to normalize the one
+    /// Re-stamps the freeze epoch. Tests use it to normalize the one
     /// header field that legitimately differs before comparing two
     /// checkpoint encodings byte for byte.
     #[must_use]

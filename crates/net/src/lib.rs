@@ -22,11 +22,11 @@
 //!   local ring makes), read sessions (every query answered against a
 //!   pinned snapshot, epoch attached), and replication sessions.
 //! * **Replicating** ([`ReplicaNode`]): the primary cuts delta
-//!   checkpoint frames off its published snapshots and streams them to
-//!   replicas, which fold them through `restore_checkpoint_chain` and
-//!   acknowledge chain digests; a reconnect resumes from the last
-//!   acknowledged digest, or from a fresh full frame when compaction
-//!   has passed it.
+//!   checkpoint frames off its published snapshots on an event cadence
+//!   and streams them to replicas, which fold each one in place through
+//!   `ac_engine::ChainFold` and acknowledge chain digests; a reconnect
+//!   resumes from the last acknowledged digest, or from a fresh full
+//!   frame when a chain restart has passed it.
 //!
 //! [`StoreClient`] is the writer/reader factory; its [`NetWriter`]
 //! mirrors the local nonblocking writer API, [`BackpressurePolicy`]
@@ -47,5 +47,5 @@ pub use client::{NetSendError, NetWriter, RemoteReader, StoreClient, WriterConfi
 pub use conn::FrameConn;
 pub use error::{NetError, RefuseCode};
 pub use replica::{ReplicaConfig, ReplicaNode};
-pub use server::{ServerConfig, StoreServer};
+pub use server::{ReplStats, ServerConfig, StoreServer};
 pub use wire::{Frame, Identity, Query, Reply, Role, PROTO_VERSION};

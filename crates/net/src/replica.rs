@@ -1,18 +1,19 @@
 //! `ReplicaNode`: a warm read-only mirror fed by the primary's delta
 //! checkpoint stream.
 //!
-//! The replica folds every [`ReplSegment`] it receives through
-//! [`restore_checkpoint_chain`] — the same integrity-checked path a
-//! crash recovery takes — acknowledges the segment's chain digest, and
-//! republishes the folded snapshot for local reads. Chain digests do
-//! the integrity work: a delta that does not cite the replica's tip is
-//! refused by the fold itself, and the acknowledged digest is what a
-//! reconnect resumes from. When the primary has compacted past the
-//! acknowledged digest it re-sends from a full frame, which the
-//! replica folds as a reset.
+//! The feed thread keeps one [`ChainFold`] over the primary's chain and
+//! folds every [`ReplSegment`] into it in place: a delta replaces only
+//! the shards it carries, after the same integrity checks a crash
+//! recovery applies (checksums, parent digest, epoch order, totals).
+//! Decoding happens outside the mirror lock; the lock is held only to
+//! swap in the new snapshot, so local reads never wait for a fold. The
+//! replica then acknowledges the segment's chain digest, which is what
+//! a reconnect resumes from. A delta that does not cite the replica's
+//! tip is refused by the fold itself. When the primary restarts its
+//! chain (or a reconnect finds the acknowledged digest gone) it sends a
+//! full frame, which starts a fresh fold.
 //!
 //! [`ReplSegment`]: crate::wire::Frame::ReplSegment
-//! [`restore_checkpoint_chain`]: ac_engine::restore_checkpoint_chain
 
 use crate::client::{connect, expect_hello_ok};
 use crate::conn::FrameConn;
@@ -20,7 +21,7 @@ use crate::error::{NetError, RefuseCode};
 use crate::wire::{Frame, Identity, Role, NEW_PRODUCER};
 use ac_core::{ApproxCounter, CounterFamily};
 use ac_engine::{
-    compact_chain_workers, read_header, restore_checkpoint_chain, CheckpointHeader, EngineSnapshot,
+    read_header, ChainFold, CheckpointError, CheckpointHeader, CheckpointKind, EngineSnapshot,
 };
 use ac_randkit::{mix64, Xoshiro256PlusPlus};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -32,9 +33,9 @@ use std::time::{Duration, Instant};
 /// Replica-side knobs.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
-    /// Locally compact the mirrored chain into a single base once it
-    /// exceeds this many segments (the fold cost of every later delta
-    /// is proportional to chain length).
+    /// Unused: the replica folds each segment in place and keeps no
+    /// chain, so there is nothing to compact. The field stays so
+    /// existing `ReplicaConfig { .. }` literals keep building.
     pub max_chain_segments: usize,
     /// Backoff between reconnect attempts after a lost feed.
     pub retry: Duration,
@@ -49,17 +50,12 @@ impl Default for ReplicaConfig {
     }
 }
 
-/// The mirrored chain plus the snapshot folded from it.
+/// What local reads see: the snapshot folded from the primary's chain
+/// and the header of the last segment folded into it.
 #[derive(Debug, Default)]
 struct Mirror {
-    segments: Vec<Vec<u8>>,
     tip: Option<CheckpointHeader>,
     snap: Option<Arc<EngineSnapshot<CounterFamily>>>,
-    /// The primary-side chain digest last folded and acknowledged —
-    /// what a reconnect handshake presents. Survives local compaction
-    /// (the compacted base has its own digest; resumption speaks the
-    /// primary's).
-    acked_chain: u64,
     folds: u64,
 }
 
@@ -142,7 +138,7 @@ impl ReplicaNode {
     /// the replica's state *is* the primary's checkpointed state.
     #[must_use]
     pub fn chain_digest(&self) -> u64 {
-        self.inner.mirror.read().expect("mirror").acked_chain
+        self.inner.chain_digest()
     }
 
     /// How many segments have been folded since connecting.
@@ -275,12 +271,20 @@ impl Drop for ReplicaNode {
     }
 }
 
+impl ReplicaInner {
+    fn chain_digest(&self) -> u64 {
+        let mirror = self.mirror.read().expect("mirror");
+        mirror.tip.map_or(0, |t| t.chain)
+    }
+}
+
 fn feed_loop(inner: &ReplicaInner, mut conn: FrameConn) {
     let stop = || inner.stop.load(Ordering::Acquire);
+    let mut fold = None;
     loop {
         match conn.recv_interruptible(&stop) {
             Ok(Frame::ReplSegment { bytes }) => {
-                let chain = match fold_segment(inner, bytes) {
+                let chain = match fold_segment(inner, &mut fold, &bytes) {
                     Ok(chain) => chain,
                     Err(e) => {
                         // A segment that does not fold is corruption or
@@ -313,44 +317,33 @@ fn feed_loop(inner: &ReplicaInner, mut conn: FrameConn) {
     }
 }
 
-/// Folds one segment into the mirror and returns the digest to ack.
-fn fold_segment(inner: &ReplicaInner, bytes: Vec<u8>) -> Result<u64, NetError> {
-    let header = read_header(&bytes).map_err(|e| NetError::Remote {
-        reason: format!("segment header: {e}"),
-    })?;
-    let mut mirror = inner.mirror.write().expect("mirror");
-    if header.kind == ac_engine::CheckpointKind::Full {
-        // A full frame starts a fresh chain — the primary restarted the
-        // stream (first contact, or compaction passed our ack).
-        mirror.segments.clear();
-        mirror.tip = None;
+/// Folds one segment into `fold`, publishes the result to the mirror,
+/// and returns the digest to ack.
+fn fold_segment(
+    inner: &ReplicaInner,
+    fold: &mut Option<ChainFold<CounterFamily>>,
+    bytes: &[u8],
+) -> Result<u64, CheckpointError> {
+    let kind = read_header(bytes)?.kind;
+    match fold {
+        Some(f) if kind == CheckpointKind::Delta => f.fold(bytes)?,
+        // A full frame starts a fresh chain: first contact, or the
+        // primary restarted its chain past our acknowledged digest.
+        _ => *fold = Some(ChainFold::start(&inner.template, bytes)?),
     }
-    mirror.segments.push(bytes);
-    let refs: Vec<&[u8]> = mirror.segments.iter().map(Vec::as_slice).collect();
-    let mut engine =
-        restore_checkpoint_chain(&inner.template, &refs).map_err(|e| NetError::Remote {
-            reason: format!("chain fold: {e}"),
-        })?;
-    // Pin the folded snapshot to the primary's freeze epoch so merged
-    // reads here agree with a primary reader pinned to the same epoch.
-    let snap = engine.snapshot().with_epoch(header.epoch);
-    mirror.snap = Some(Arc::new(snap));
-    mirror.tip = Some(header);
-    mirror.acked_chain = header.chain;
-    mirror.folds += 1;
-    if mirror.segments.len() > inner.config.max_chain_segments {
-        let refs: Vec<&[u8]> = mirror.segments.iter().map(Vec::as_slice).collect();
-        match compact_chain_workers(&inner.template, &refs, 0) {
-            Ok(base) => mirror.segments = vec![base.into_bytes()],
-            Err(e) => {
-                // The chain restored moments ago, so compaction cannot
-                // really fail — but never trade a working mirror for a
-                // tidy one.
-                let _ = e;
-            }
-        }
-    }
-    Ok(header.chain)
+    let folded = fold.as_ref().expect("folded above");
+    let tip = folded.tip();
+    let snap = Arc::new(folded.snapshot());
+    let replaced = {
+        let mut mirror = inner.mirror.write().expect("mirror");
+        mirror.tip = Some(tip);
+        mirror.folds += 1;
+        mirror.snap.replace(snap)
+    };
+    // The old snapshot may hold the last reference to shards the delta
+    // replaced; free them after the lock is released.
+    drop(replaced);
+    Ok(tip.chain)
 }
 
 fn fail(inner: &ReplicaInner, reason: &str) {
@@ -371,7 +364,7 @@ fn reconnect(inner: &ReplicaInner, conn: &mut FrameConn) -> bool {
         if inner.stop.load(Ordering::Acquire) {
             return false;
         }
-        let acked = inner.mirror.read().expect("mirror").acked_chain;
+        let acked = inner.chain_digest();
         if let Ok(mut fresh) = connect(
             inner.addr,
             &inner.identity,

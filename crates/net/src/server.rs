@@ -23,14 +23,22 @@
 //! ## Replication
 //!
 //! A cutter thread samples published snapshots and maintains one
-//! global chain of checkpoint segments — a full base, then deltas cut
-//! with [`checkpoint_delta`], compacted through [`compact_chain`] when
-//! the chain grows long. Replica connections stream the chain and
-//! resume from the last chain digest the replica acknowledged; a
-//! digest that fell out of the chain (compaction) triggers a full
-//! resend, which the replica folds as a reset. Chain digests make
-//! every segment self-validating, so replication inherits the
-//! checkpoint format's integrity story wholesale.
+//! global chain of checkpoint segments: a full base, then deltas cut
+//! with [`checkpoint_delta`]. A delta is cut once
+//! [`ServerConfig::delta_every_events`] new events are visible past the
+//! chain tip, or — for the tail of a stream — once the published total
+//! has stood still for 50 polls. When the chain already holds
+//! [`ServerConfig::max_chain_segments`] segments, the next cut is a
+//! fresh full [`checkpoint_snapshot`] instead: the chain restarts from
+//! it and its generation is bumped. Nothing is ever restored or
+//! re-encoded on the primary.
+//!
+//! Replica connections stream the chain and resume from the last chain
+//! digest the replica acknowledged; a digest that is no longer in the
+//! chain (a restart passed it) triggers a full resend, which the
+//! replica folds as a fresh start. Chain digests make every segment
+//! self-validating, so replication inherits the checkpoint format's
+//! integrity story wholesale.
 //!
 //! [`IngestProducer`]: ac_engine::IngestProducer
 //! [`ProducerMark`]: ac_engine::ProducerMark
@@ -42,8 +50,8 @@ use crate::wire::{Frame, Identity, Query, Reply, Role, NEW_PRODUCER, PROTO_VERSI
 use ac_bitio::{BitVec, BitWriter};
 use ac_core::{CounterFamily, StateCodec};
 use ac_engine::{
-    checkpoint_delta, checkpoint_snapshot, compact_chain_workers, CheckpointHeader, Store,
-    StoreReport, StoreWriter,
+    checkpoint_delta, checkpoint_snapshot, Checkpoint, CheckpointHeader, CheckpointKind,
+    EngineSnapshot, Store, StoreReport, StoreWriter,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -52,19 +60,29 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// How many consecutive [`ServerConfig::cut_poll`] samples the
+/// published event total must stand still before the cutter ships a
+/// tail delta smaller than [`ServerConfig::delta_every_events`] (100 ms
+/// at the default 2 ms poll).
+const QUIET_POLLS: u32 = 50;
+
 /// Tuning knobs for the server's replication source.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Cut a delta segment once at least this many new events are
-    /// visible past the chain tip. (A quiesced stream — events stopped
-    /// advancing between two polls — also cuts, so replicas converge
-    /// to the final state without waiting for a full threshold.)
+    /// visible past the chain tip. The tail of a stream that stops
+    /// short of this is cut once the published total has not moved for
+    /// 50 consecutive [`ServerConfig::cut_poll`] samples (100 ms at the
+    /// default), so replicas converge to the final state without
+    /// waiting for a full threshold. A stream that never pauses that
+    /// long ships only on this cadence.
     pub delta_every_events: u64,
     /// How often the cutter samples the published snapshot.
     pub cut_poll: Duration,
-    /// Compact the chain into a single full base once it holds more
-    /// than this many segments. Replicas whose acknowledged digest
-    /// falls out of the chain receive a full resend.
+    /// Most segments the chain holds. When it is full, the next cut is
+    /// a full checkpoint that restarts the chain; replicas whose
+    /// acknowledged digest is no longer in the chain receive it as a
+    /// full resend.
     pub max_chain_segments: usize,
 }
 
@@ -78,6 +96,17 @@ impl Default for ServerConfig {
     }
 }
 
+/// What the replication cutter has done since the server started.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplStats {
+    /// Delta segments cut.
+    pub deltas_cut: u64,
+    /// Full segments cut: the chain's first base plus one per restart.
+    pub fulls_cut: u64,
+    /// Times a full chain was replaced by a fresh full base.
+    pub restarts: u64,
+}
+
 /// One segment of the replication chain.
 #[derive(Debug, Clone)]
 struct Segment {
@@ -85,14 +114,15 @@ struct Segment {
     bytes: Arc<Vec<u8>>,
 }
 
-/// The replication source: the chain, its tip header, and a
-/// generation counter bumped whenever the chain is rewritten
-/// (compaction) rather than appended to.
+/// The replication source: the chain, its tip header, a generation
+/// counter bumped whenever the chain restarts rather than grows, and
+/// the cut counts.
 #[derive(Debug, Default)]
 struct ReplChain {
     segments: Vec<Segment>,
     tip: Option<CheckpointHeader>,
     generation: u64,
+    stats: ReplStats,
     failed: Option<String>,
 }
 
@@ -107,7 +137,6 @@ struct ServerInner {
     store: Store,
     identity: Identity,
     fingerprint: u64,
-    template: CounterFamily,
     tiered: bool,
     config: ServerConfig,
     /// Writer slots not currently attached to a connection, by
@@ -192,7 +221,6 @@ impl StoreServer {
             store,
             identity,
             fingerprint,
-            template,
             tiered,
             config,
             parked: Mutex::new(parked),
@@ -253,6 +281,13 @@ impl StoreServer {
     pub fn tip_chain(&self) -> u64 {
         let chain = self.inner.repl.chain.lock().expect("repl chain");
         chain.segments.last().map_or(0, |s| s.chain)
+    }
+
+    /// How many segments the replication cutter has cut, and how often
+    /// it restarted the chain.
+    #[must_use]
+    pub fn repl_stats(&self) -> ReplStats {
+        self.inner.repl.chain.lock().expect("repl chain").stats
     }
 
     /// A read handle over the served store (in-process fast path).
@@ -649,9 +684,9 @@ fn serve_replica(
                 return Err(NetError::Remote { reason });
             }
             if chain.generation != generation {
-                // Compaction rewrote the chain under us: resume from
-                // the last digest the replica acknowledged, or from
-                // the (full) base when that digest was folded away.
+                // The chain restarted under us: resume from the last
+                // digest the replica acknowledged, or from the (full)
+                // base when that digest is gone.
                 cursor = resume_cursor(&chain, last_acked);
                 generation = chain.generation;
             }
@@ -691,8 +726,8 @@ fn serve_replica(
 
 /// Where to resume a replica that has folded up to `acked`: right
 /// after that digest if it is still in the chain, else from the start
-/// (segment 0 is always a full base, which the replica folds as a
-/// reset).
+/// (segment 0 is always a full base, which the replica folds as a fresh
+/// start).
 fn resume_cursor(chain: &ReplChain, acked: u64) -> usize {
     if acked == 0 {
         return 0;
@@ -706,69 +741,78 @@ fn resume_cursor(chain: &ReplChain, acked: u64) -> usize {
 
 fn cutter_loop(inner: &Arc<ServerInner>) {
     let mut reader = inner.store.reader();
-    let mut last_poll_events = u64::MAX;
+    let mut last_events = None;
+    let mut still_polls = 0u32;
     while !inner.stop.load(Ordering::SeqCst) {
         std::thread::sleep(inner.config.cut_poll);
         reader.refresh();
         let snap = reader.snapshot();
+        let events = snap.total_events();
+        if last_events == Some(events) {
+            still_polls = still_polls.saturating_add(1);
+        } else {
+            still_polls = 0;
+            last_events = Some(events);
+        }
+        // Only the cutter appends to the chain, so the tip read here is
+        // still the tip when the cut lands; the encode itself runs
+        // without the chain lock, which replica senders need.
+        let (tip, full) = {
+            let chain = inner.repl.chain.lock().expect("repl chain");
+            if chain.failed.is_some() {
+                return;
+            }
+            let full = chain.segments.len() >= inner.config.max_chain_segments;
+            (chain.tip, full)
+        };
+        let cut = match tip {
+            Some(tip) if !cut_due(&inner.config, snap, &tip, still_polls) => continue,
+            Some(tip) if !full => checkpoint_delta(snap, &tip),
+            _ => Ok(checkpoint_snapshot(snap)),
+        };
         let mut chain = inner.repl.chain.lock().expect("repl chain");
+        match cut {
+            Ok(segment) => append(&mut chain, segment),
+            Err(e) => chain.failed = Some(format!("delta cut failed: {e}")),
+        }
+        inner.repl.grew.notify_all();
         if chain.failed.is_some() {
             return;
         }
-        match chain.tip {
-            None => {
-                let full = checkpoint_snapshot(snap);
-                chain.tip = Some(full.header());
-                chain.segments.push(Segment {
-                    chain: full.header().chain,
-                    bytes: Arc::new(full.into_bytes()),
-                });
-                inner.repl.grew.notify_all();
-            }
-            Some(tip) => {
-                let events = snap.total_events();
-                let advanced = events.saturating_sub(tip.events);
-                let quiesced = events == last_poll_events;
-                if snap.epoch() > tip.epoch
-                    && advanced > 0
-                    && (advanced >= inner.config.delta_every_events || quiesced)
-                {
-                    match checkpoint_delta(snap, &tip) {
-                        Ok(delta) => {
-                            chain.tip = Some(delta.header());
-                            chain.segments.push(Segment {
-                                chain: delta.header().chain,
-                                bytes: Arc::new(delta.into_bytes()),
-                            });
-                            inner.repl.grew.notify_all();
-                        }
-                        Err(e) => {
-                            chain.failed = Some(format!("delta cut failed: {e}"));
-                            inner.repl.grew.notify_all();
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        if chain.segments.len() > inner.config.max_chain_segments {
-            let segments: Vec<&[u8]> = chain.segments.iter().map(|s| s.bytes.as_slice()).collect();
-            match compact_chain_workers(&inner.template, &segments, 0) {
-                Ok(base) => {
-                    chain.tip = Some(base.header());
-                    chain.segments = vec![Segment {
-                        chain: base.header().chain,
-                        bytes: Arc::new(base.into_bytes()),
-                    }];
-                    chain.generation += 1;
-                }
-                Err(e) => {
-                    chain.failed = Some(format!("chain compaction failed: {e}"));
-                    inner.repl.grew.notify_all();
-                    return;
-                }
-            }
-        }
-        last_poll_events = snap.total_events();
     }
+}
+
+/// True when `snap` should be cut past `tip`: it is newer and holds new
+/// events, and either a full [`ServerConfig::delta_every_events`] of
+/// them or a stream that has gone quiet.
+fn cut_due(
+    config: &ServerConfig,
+    snap: &EngineSnapshot<CounterFamily>,
+    tip: &CheckpointHeader,
+    still_polls: u32,
+) -> bool {
+    let advanced = snap.total_events().saturating_sub(tip.events);
+    snap.epoch() > tip.epoch
+        && advanced > 0
+        && (advanced >= config.delta_every_events || still_polls >= QUIET_POLLS)
+}
+
+/// Appends a cut segment; a full one restarts the chain from itself.
+fn append(chain: &mut ReplChain, segment: Checkpoint) {
+    let header = segment.header();
+    if header.kind == CheckpointKind::Full {
+        if chain.tip.is_some() {
+            chain.segments.clear();
+            chain.generation += 1;
+            chain.stats.restarts += 1;
+        }
+        chain.stats.fulls_cut += 1;
+    } else {
+        chain.stats.deltas_cut += 1;
+    }
+    chain.tip = Some(header);
+    chain.segments.push(Segment {
+        chain: header.chain,
+        bytes: Arc::new(segment.into_bytes()),
+    });
 }

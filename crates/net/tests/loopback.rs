@@ -6,8 +6,8 @@ use ac_core::{ApproxCounter, CounterSpec};
 use ac_engine::{checkpoint_snapshot, IngestConfig, Store};
 use ac_net::wire::NEW_PRODUCER;
 use ac_net::{
-    Frame, FrameConn, Identity, NetError, RefuseCode, ReplicaNode, Role, ServerConfig, StoreClient,
-    StoreServer, WriterConfig, PROTO_VERSION,
+    Frame, FrameConn, Identity, NetError, RefuseCode, ReplStats, ReplicaNode, Role, ServerConfig,
+    StoreClient, StoreServer, WriterConfig, PROTO_VERSION,
 };
 use std::net::TcpStream;
 use std::time::Duration;
@@ -20,6 +20,18 @@ fn ny_spec() -> CounterSpec {
 }
 
 fn start_server(spec: CounterSpec, seed: u64) -> StoreServer {
+    start_server_with(
+        spec,
+        seed,
+        ServerConfig {
+            delta_every_events: 512,
+            cut_poll: Duration::from_millis(2),
+            max_chain_segments: 4,
+        },
+    )
+}
+
+fn start_server_with(spec: CounterSpec, seed: u64, config: ServerConfig) -> StoreServer {
     let store = Store::builder(spec)
         .with_shards(4)
         .with_seed(seed)
@@ -29,16 +41,7 @@ fn start_server(spec: CounterSpec, seed: u64) -> StoreServer {
         .with_snapshot_every_events(1)
         .start()
         .expect("store starts");
-    StoreServer::start_with(
-        store,
-        "127.0.0.1:0",
-        ServerConfig {
-            delta_every_events: 512,
-            cut_poll: Duration::from_millis(2),
-            max_chain_segments: 4,
-        },
-    )
-    .expect("server starts")
+    StoreServer::start_with(store, "127.0.0.1:0", config).expect("server starts")
 }
 
 fn hello(identity: &Identity, role: Role, producer: u64) -> Frame {
@@ -448,11 +451,18 @@ fn settled_checkpoint(server: &StoreServer, spec: CounterSpec) -> Vec<u8> {
     checkpoint_snapshot(&snap).into_bytes()
 }
 
+fn cuts(stats: ReplStats) -> u64 {
+    stats.deltas_cut + stats.fulls_cut
+}
+
 #[test]
-fn replica_survives_primary_side_compaction() {
-    // A tiny chain cap forces the primary to compact repeatedly; a
-    // replica connecting mid-stream and one connected from the start
-    // must both converge to the same digest regardless.
+fn replica_survives_primary_chain_restarts() {
+    // A chain cap of 4 segments makes every fourth cut a full frame
+    // that restarts the chain. The stream advances in steps of more
+    // than `delta_every_events`, each waiting for its cut, so at least
+    // eleven cuts (the first base included) and therefore at least two
+    // restarts provably happen. A replica connected from the start and
+    // one connecting mid-stream must both converge to the same digest.
     let server = start_server(ny_spec(), 31);
     let identity = server.identity();
     let early = ReplicaNode::connect(server.local_addr(), identity.clone()).expect("early replica");
@@ -460,15 +470,32 @@ fn replica_survives_primary_side_compaction() {
     let client = StoreClient::new(server.local_addr(), identity.clone()).expect("client");
     let mut writer = client.writer(WriterConfig::default()).expect("writer");
     let mut expected = 0u64;
-    for round in 0..30u64 {
-        for key in 0..40u64 {
-            writer.record(key, 1 + (round * key) % 3);
-            expected += 1 + (round * key) % 3;
+    let mut late = None;
+    for step in 0..10u64 {
+        if step == 5 {
+            late = Some(ReplicaNode::connect(server.local_addr(), identity.clone()).expect("late"));
         }
-        writer.flush().expect("flush");
+        let before = cuts(server.repl_stats());
+        // 16 rounds of 40 keys carry at least 640 > 512 events.
+        for round in 0..16u64 {
+            for key in 0..40u64 {
+                let n = 1 + (step * 16 + round + key) % 3;
+                writer.record(key, n);
+                expected += n;
+            }
+            writer.flush().expect("flush");
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while cuts(server.repl_stats()) == before {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "step {step} cut nothing"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
-    let late = ReplicaNode::connect(server.local_addr(), identity).expect("late replica");
     writer.close().expect("close");
+    let late = late.expect("late replica");
 
     assert!(
         early.wait_for_events(expected, Duration::from_secs(20)),
@@ -483,6 +510,9 @@ fn replica_survives_primary_side_compaction() {
     let tip = server.tip_chain();
     assert!(early.wait_for_chain(tip, Duration::from_secs(20)));
     assert!(late.wait_for_chain(tip, Duration::from_secs(20)));
+    let stats = server.repl_stats();
+    assert!(stats.restarts >= 2, "too few chain restarts: {stats:?}");
+    assert_eq!(stats.fulls_cut, stats.restarts + 1, "{stats:?}");
     assert_eq!(early.total_events(), late.total_events());
     assert_eq!(
         early.merged_estimate().expect("merge"),
@@ -490,5 +520,59 @@ fn replica_survives_primary_side_compaction() {
     );
     drop(early);
     drop(late);
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn cutter_ships_on_the_event_cadence_not_on_every_pause() {
+    // Many small flushes with short pauses, each far below the cut
+    // cadence. A cutter that cuts whenever two polls see the same total
+    // would ship (and the replica fold) a delta per pause; on the
+    // cadence, the replica folds about one segment per
+    // `delta_every_events`, plus the first base and any restarts.
+    const EVERY: u64 = 2_000;
+    let server = start_server_with(
+        ny_spec(),
+        77,
+        ServerConfig {
+            delta_every_events: EVERY,
+            cut_poll: Duration::from_millis(2),
+            max_chain_segments: 4,
+        },
+    );
+    let identity = server.identity();
+    let replica = ReplicaNode::connect(server.local_addr(), identity.clone()).expect("replica");
+    let client = StoreClient::new(server.local_addr(), identity).expect("client");
+    let mut writer = client.writer(WriterConfig::default()).expect("writer");
+    let mut written = 0u64;
+    for flush in 0..150u64 {
+        for key in 0..20u64 {
+            let n = 1 + (flush + key) % 3;
+            writer.record(key, n);
+            written += n;
+        }
+        writer.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(4));
+        let folds = replica.folds();
+        let bound = written / EVERY + server.repl_stats().restarts + 2;
+        assert!(
+            folds <= bound,
+            "after {written} events the replica folded {folds} segments (bound {bound}): {:?}",
+            server.repl_stats()
+        );
+    }
+    writer.close().expect("close");
+
+    // The tail below the cadence still ships once the stream goes quiet.
+    assert!(
+        replica.wait_for_events(written, Duration::from_secs(20)),
+        "tail never shipped: {:?}",
+        replica.failed()
+    );
+    let tip = server.tip_chain();
+    assert!(replica.wait_for_chain(tip, Duration::from_secs(20)));
+    assert_eq!(replica.chain_digest(), server.tip_chain());
+    assert_eq!(replica.total_events(), written);
+    drop(replica);
     server.shutdown().expect("shutdown");
 }
